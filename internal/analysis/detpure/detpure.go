@@ -40,8 +40,8 @@ import (
 // clocks, sockets, and goroutines, and are covered by lockheld
 // instead. internal/netsim IS in scope — the virtual network must
 // never consult the wall clock or global randomness, or seeded soaks
-// stop replaying; its few deliberate escapes (the fidelity sleep, the
-// ticker channel) carry lint:ignore justifications.
+// stop replaying; its one deliberate escape, the ticker channel,
+// carries lint:ignore justifications.
 var Scope = []string{
 	"repro/internal/core",
 	"repro/internal/sim",

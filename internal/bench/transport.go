@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/netsim"
+	"repro/internal/vclock"
 	"repro/internal/wire"
 )
 
@@ -246,7 +247,6 @@ func netsimLatencyRun(b *testing.B) time.Duration {
 		interval = 50 * time.Microsecond
 	)
 	clk := netsim.NewClock()
-	clk.Yield = 0
 	nw := netsim.NewNet(clk, 42)
 	nw.SetLink("a", "b", 200*time.Microsecond, 100*time.Microsecond)
 	ln, err := nw.Host("b").Listen()
@@ -259,7 +259,9 @@ func netsimLatencyRun(b *testing.B) time.Duration {
 		err error
 	}
 	ch := make(chan acc, 1)
+	acceptor := vclock.Start(clk) // Accept may park on the virtual listener
 	go func() {
+		defer acceptor.Exit()
 		c, err := ln.Accept()
 		ch <- acc{c, err}
 	}()
@@ -287,8 +289,10 @@ func netsimLatencyRun(b *testing.B) time.Duration {
 
 	lats := make([]time.Duration, 0, frames)
 	done := make(chan struct{})
+	reader := vclock.Start(clk) // Advance waits for the reader to park
 	go func() {
 		defer close(done)
+		defer reader.Exit()
 		dec := wire.NewDecoder(a.c)
 		var fr wire.Frame
 		for len(lats) < frames {

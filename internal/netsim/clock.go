@@ -14,19 +14,24 @@
 //     truncation — the fault repertoire ChaosPlan scripts.
 //
 // Virtual-time semantics (DESIGN.md S19): Advance moves the clock from
-// event to event. At each instant it fires every due timer, then
-// yields the real scheduler briefly so the goroutines those timers
-// woke can run before the clock moves again. This keeps simulated
-// processing lag small but does not serialize the runtime's goroutines;
-// the determinism the chaos suite asserts is therefore over the fault
-// schedule and the stabilized outcome, never over per-message
-// interleavings (see cluster.RunChaosSoak).
+// event to event. At each instant it fires every due timer, then waits
+// until the goroutines the instant woke are idle again before the clock
+// moves on. It knows how many are still running: the runtime reports
+// its goroutines through vclock.Parker, and netsim's pipes, listeners
+// and tickers count the goroutines they park and wake. Woken
+// goroutines therefore never fall behind virtual time, on any core
+// count and under any load; what stays outside the harness's control
+// is only the order in which goroutines woken at the same instant run,
+// so the determinism the chaos suite asserts is over the fault schedule
+// and the stabilized outcome, never over per-message interleavings
+// (see cluster.RunChaosSoak).
 package netsim
 
 import (
 	"container/heap"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/vclock"
@@ -37,30 +42,23 @@ import (
 // timestamps.
 var epoch = time.Date(2000, 1, 1, 0, 0, 0, 0, time.UTC)
 
-// DefaultYield is the real-time pause Advance takes every
-// yieldEvery-th fired instant, giving woken goroutines a chance to run
-// before the clock moves on. Larger values tighten fidelity (less
-// virtual processing lag) at the cost of real soak time.
-const DefaultYield = 20 * time.Microsecond
-
-// yieldEvery spaces the real-time pauses out: most instants settle
-// with cheap scheduler yields alone (enough for woken goroutines to
-// run on other cores), and every yieldEvery-th fired instant pays the
-// full Yield sleep so lagging goroutines catch up. A simulated second
-// holds thousands of instants, so sleeping at each one would dominate
-// real soak time.
-const yieldEvery = 64
-
 // Clock is a virtual vclock.Clock. All methods are safe for concurrent
 // use; Advance must be called from one goroutine at a time (a second
 // concurrent Advance blocks until the first returns).
 type Clock struct {
-	// Yield is the per-instant real-time pause (DefaultYield if left
-	// alone). Set it before the simulation starts, never during.
-	Yield time.Duration
+	runMu sync.Mutex // serializes Advance callers
 
-	runMu   sync.Mutex // serializes Advance callers
-	settles uint64     // fired instants since the last full Yield (runMu held)
+	// running counts the goroutines of the simulated stack that are
+	// not blocked waiting for the clock or for each other: the runtime
+	// reports its own through vclock.Parker, and netsim's pipes and
+	// listeners count the goroutines they park and wake (Busy).
+	running atomic.Int64
+
+	// settle sleeps on idle when the count stays up past a few yields;
+	// Busy wakes it when the count drops to zero.
+	idleMu   sync.Mutex
+	idle     sync.Cond
+	sleeping atomic.Bool
 
 	mu  sync.Mutex
 	now time.Time
@@ -70,7 +68,9 @@ type Clock struct {
 
 // NewClock returns a virtual clock frozen at the fixed epoch.
 func NewClock() *Clock {
-	return &Clock{Yield: DefaultYield, now: epoch}
+	c := &Clock{now: epoch}
+	c.idle.L = &c.idleMu
+	return c
 }
 
 // Now returns the current virtual time.
@@ -117,12 +117,14 @@ func (c *Clock) scheduleLocked(when time.Time, fn func()) *event {
 }
 
 // Advance moves virtual time forward by d, firing every timer that
-// comes due, in time order (FIFO among same-instant timers). After each
-// fired instant it briefly yields real time so woken goroutines can
-// schedule their follow-on work before the clock moves again.
+// comes due, in time order (FIFO among same-instant timers). Before the
+// first instant and after each fired one it waits for the simulated
+// stack to park, so the goroutines a test or an instant woke finish
+// their follow-on work before the clock moves again.
 func (c *Clock) Advance(d time.Duration) {
 	c.runMu.Lock()
 	defer c.runMu.Unlock()
+	c.settle()
 	c.mu.Lock()
 	target := c.now.Add(d)
 	for {
@@ -147,10 +149,16 @@ func (c *Clock) Advance(d time.Duration) {
 			}
 		}
 		c.mu.Unlock()
+		// Callbacks run counted, like any goroutine of the simulated
+		// stack: one that blocks on a netsim pipe or a full mailbox
+		// reports itself idle from this count, never from another
+		// goroutine's.
+		c.Busy(1)
 		for _, ev := range due {
 			//lint:ignore lockheld c.mu is released on the line above; runMu is held by design — Advance IS the timer executor, and serializing callbacks under it is the virtual-time contract (callbacks may re-enter the clock, which takes only c.mu)
 			ev.fn()
 		}
+		c.Busy(-1)
 		c.settle()
 		c.mu.Lock()
 	}
@@ -164,16 +172,46 @@ func (c *Clock) dropStoppedLocked() {
 	}
 }
 
-// settle yields the real scheduler so goroutines woken by the instant
-// just fired get to run before virtual time moves again (runMu held).
+// Busy implements vclock.Activity: it adds n to the count of running
+// goroutines that Advance waits on. The count going below zero means a
+// goroutine that nobody counted parked on the virtual network (a test
+// reading a conn without a vclock.Parker, say); from then on Advance
+// could move past work still in flight, so Busy panics instead.
+func (c *Clock) Busy(n int) {
+	v := c.running.Add(int64(n))
+	if v < 0 {
+		panic("netsim: running-goroutine count below zero: a goroutine parked on the virtual network without a vclock.Parker")
+	}
+	if v == 0 && c.sleeping.Load() {
+		c.idleMu.Lock()
+		c.idle.Broadcast()
+		c.idleMu.Unlock()
+	}
+}
+
+// settleSpins is how many scheduler yields settle spends before it
+// sleeps until the running count drops: most instants' work is a
+// short cascade of goroutine hand-offs that finishes within a few.
+const settleSpins = 64
+
+// settle waits until the simulated stack is idle: no goroutine it
+// woke is still running (runMu held). It trusts the count alone; a
+// goroutine that blocks outside the accounted primitives without
+// reporting itself idle hangs Advance, and the test timeout's stack
+// dump shows where.
 func (c *Clock) settle() {
-	for i := 0; i < 4; i++ {
+	for i := 0; i < settleSpins; i++ {
+		if c.running.Load() <= 0 {
+			return
+		}
 		runtime.Gosched()
 	}
-	c.settles++
-	if c.Yield > 0 && c.settles%yieldEvery == 0 {
-		//lint:ignore detpure the real-time pause is the fidelity knob of virtual-time advancement (S19); it bounds simulated processing lag and carries no timing information into the simulation
-		time.Sleep(c.Yield)
+	c.idleMu.Lock()
+	defer c.idleMu.Unlock()
+	c.sleeping.Store(true)
+	defer c.sleeping.Store(false)
+	for c.running.Load() > 0 {
+		c.idle.Wait()
 	}
 }
 
@@ -234,9 +272,19 @@ type vticker struct {
 	// Guarded by c.mu.
 	ev      *event
 	stopped bool
+	notify  func() // called after each delivered tick
 }
 
 func (t *vticker) C() <-chan time.Time { return t.ch }
+
+// NotifyTick registers f to run after each tick the ticker delivers
+// (not after dropped ones), so the receiver's vclock.Parker counts the
+// wake before Advance moves on.
+func (t *vticker) NotifyTick(f func()) {
+	t.c.mu.Lock()
+	defer t.c.mu.Unlock()
+	t.notify = f
+}
 
 func (t *vticker) Stop() {
 	t.c.mu.Lock()
@@ -251,11 +299,19 @@ func (t *vticker) Stop() {
 // time.Ticker) and re-arms.
 func (t *vticker) fire() {
 	now := t.c.Now()
+	delivered := false
 	//lint:ignore detpure nonblocking tick delivery mirrors time.Ticker: a lagging consumer drops ticks instead of blocking virtual time
 	select {
 	//lint:ignore detpure nonblocking tick delivery mirrors time.Ticker (the send half of the drop-if-lagging select)
 	case t.ch <- now:
+		delivered = true
 	default:
+	}
+	t.c.mu.Lock()
+	notify := t.notify
+	t.c.mu.Unlock()
+	if delivered && notify != nil {
+		notify()
 	}
 	t.c.mu.Lock()
 	if !t.stopped {

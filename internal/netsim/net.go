@@ -241,7 +241,7 @@ func (n *Net) setDrain(a, b string, drain bool) {
 		if (p.from == a && p.to == b) || (p.from == b && p.to == a) {
 			p.mu.Lock()
 			p.noDrain = !drain
-			p.cond.Broadcast()
+			p.broadcastLocked()
 			p.mu.Unlock()
 		}
 	}
@@ -299,7 +299,7 @@ func (n *Net) HealAll() {
 	for _, p := range n.pipes {
 		p.mu.Lock()
 		p.noDrain = false
-		p.cond.Broadcast()
+		p.broadcastLocked()
 		p.mu.Unlock()
 		n.releaseHeldPipeLocked(p)
 	}
@@ -335,7 +335,7 @@ func (n *Net) releaseHeldPipeLocked(p *pipe) {
 		p.lastAt = at
 		p.scheduleWakeLocked(at)
 	}
-	p.cond.Broadcast()
+	p.broadcastLocked()
 }
 
 // ResetLink kills every live connection between a and b (both
@@ -387,8 +387,9 @@ type pipe struct {
 	n        *Net
 	from, to string
 
-	mu   sync.Mutex
-	cond sync.Cond
+	mu      sync.Mutex
+	cond    sync.Cond
+	waiters int // goroutines parked in cond, uncounted in Clock.running
 
 	chunks      []chunk
 	lastAt      time.Time // delivery-time high-water, keeps FIFO order under jitter
@@ -452,7 +453,7 @@ func (n *Net) send(p *pipe, b []byte) (int, error) {
 				// own wake to un-wedge the writer.
 				p.scheduleWakeLocked(dl)
 			}
-			p.cond.Wait()
+			p.waitLocked()
 			p.mu.Unlock()
 			// Re-stamp from scratch: the link's latency, rate, or
 			// partition state may have changed while we were blocked.
@@ -472,7 +473,7 @@ func (n *Net) send(p *pipe, b []byte) (int, error) {
 		p.queued += len(b)
 		// A zero-delay chunk is deliverable right now; wake blocked readers
 		// without waiting for the next clock advance.
-		p.cond.Broadcast()
+		p.broadcastLocked()
 		p.mu.Unlock()
 		return len(b), nil
 	}
@@ -498,9 +499,31 @@ func (p *pipe) scheduleWakeLocked(at time.Time) {
 	p.n.clock.AfterFunc(d, p.wake)
 }
 
+// waitLocked parks the calling goroutine on the pipe until the next
+// broadcast (p.mu held). A parked goroutine no longer counts as running
+// on the clock; the broadcast that wakes it counts it again before it
+// can run, so Advance never moves past a woken reader or writer. A
+// goroutine nobody counts (a test reading a conn itself) leaves the
+// count one lower only while it is parked here.
+func (p *pipe) waitLocked() {
+	p.waiters++
+	p.n.clock.Busy(-1)
+	p.cond.Wait()
+}
+
+// broadcastLocked wakes every goroutine parked on the pipe (p.mu
+// held).
+func (p *pipe) broadcastLocked() {
+	if p.waiters > 0 {
+		p.n.clock.Busy(p.waiters)
+		p.waiters = 0
+	}
+	p.cond.Broadcast()
+}
+
 func (p *pipe) wake() {
 	p.mu.Lock()
-	p.cond.Broadcast()
+	p.broadcastLocked()
 	p.mu.Unlock()
 }
 
@@ -527,7 +550,7 @@ func (p *pipe) read(b []byte) (int, error) {
 			}
 			p.queued -= nb
 			// Draining may have opened buffer space; wake blocked writers.
-			p.cond.Broadcast()
+			p.broadcastLocked()
 			return nb, nil
 		}
 		if p.writeClosed && len(p.chunks) == 0 {
@@ -536,7 +559,7 @@ func (p *pipe) read(b []byte) (int, error) {
 		if dl := p.readDeadline; !dl.IsZero() && !now.Before(dl) {
 			return 0, errDeadline
 		}
-		p.cond.Wait()
+		p.waitLocked()
 	}
 }
 
@@ -547,7 +570,7 @@ func (p *pipe) setReadDeadline(t time.Time) {
 	if !t.IsZero() {
 		p.scheduleWakeLocked(t)
 	}
-	p.cond.Broadcast()
+	p.broadcastLocked()
 }
 
 func (p *pipe) setWriteDeadline(t time.Time) {
@@ -557,7 +580,7 @@ func (p *pipe) setWriteDeadline(t time.Time) {
 	if !t.IsZero() {
 		p.scheduleWakeLocked(t)
 	}
-	p.cond.Broadcast()
+	p.broadcastLocked()
 }
 
 // closeWrite ends the stream: queued bytes still deliver, then EOF.
@@ -565,7 +588,7 @@ func (p *pipe) closeWrite() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.writeClosed = true
-	p.cond.Broadcast()
+	p.broadcastLocked()
 }
 
 // closeRead abandons the stream from the reader side: local reads and
@@ -574,7 +597,7 @@ func (p *pipe) closeRead() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.readClosed = true
-	p.cond.Broadcast()
+	p.broadcastLocked()
 }
 
 func (p *pipe) reset(err error) {
@@ -585,7 +608,7 @@ func (p *pipe) reset(err error) {
 	}
 	p.chunks = nil
 	p.queued = 0
-	p.cond.Broadcast()
+	p.broadcastLocked()
 }
 
 // truncateTail drops up to dropTail of the newest queued bytes,
@@ -608,7 +631,7 @@ func (p *pipe) truncateTail(dropTail int) int {
 	p.queued -= dropped
 	if dropped > 0 {
 		// Dropping tail bytes frees buffer space for blocked writers.
-		p.cond.Broadcast()
+		p.broadcastLocked()
 	}
 	return dropped
 }
@@ -664,8 +687,24 @@ type listener struct {
 
 	mu      sync.Mutex
 	cond    sync.Cond
+	waiters int // as pipe.waiters
 	pending []*nsConn
 	closed  bool
+}
+
+// waitLocked and broadcastLocked are pipe's, for Accept (l.mu held).
+func (l *listener) waitLocked() {
+	l.waiters++
+	l.n.clock.Busy(-1)
+	l.cond.Wait()
+}
+
+func (l *listener) broadcastLocked() {
+	if l.waiters > 0 {
+		l.n.clock.Busy(l.waiters)
+		l.waiters = 0
+	}
+	l.cond.Broadcast()
 }
 
 func (l *listener) offer(c *nsConn) error {
@@ -675,7 +714,7 @@ func (l *listener) offer(c *nsConn) error {
 		return fmt.Errorf("netsim: dial %s: connection refused (listener closed)", l.addr)
 	}
 	l.pending = append(l.pending, c)
-	l.cond.Broadcast()
+	l.broadcastLocked()
 	return nil
 }
 
@@ -683,7 +722,7 @@ func (l *listener) Accept() (net.Conn, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	for len(l.pending) == 0 && !l.closed {
-		l.cond.Wait()
+		l.waitLocked()
 	}
 	if l.closed {
 		return nil, net.ErrClosed
@@ -704,7 +743,7 @@ func (l *listener) Close() error {
 	l.pending = nil
 	alreadyClosed := l.closed
 	l.closed = true
-	l.cond.Broadcast()
+	l.broadcastLocked()
 	l.mu.Unlock()
 	for _, c := range pending {
 		c.rd.reset(errConnReset)

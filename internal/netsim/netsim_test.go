@@ -6,6 +6,8 @@ import (
 	"net"
 	"testing"
 	"time"
+
+	"repro/internal/vclock"
 )
 
 // testTimeout bounds real-time waits on virtual-clock activity; a
@@ -19,7 +21,7 @@ func dialPair(t *testing.T, n *Net, from, to string) (client, server net.Conn) {
 		t.Fatalf("listen %s: %v", to, err)
 	}
 	accepted := make(chan net.Conn, 1)
-	go func() {
+	goCounted(n.clock, func() {
 		c, err := ln.Accept()
 		if err != nil {
 			t.Errorf("accept: %v", err)
@@ -27,7 +29,7 @@ func dialPair(t *testing.T, n *Net, from, to string) (client, server net.Conn) {
 			return
 		}
 		accepted <- c
-	}()
+	})
 	client, err = n.Host(from).Dial(to)
 	if err != nil {
 		t.Fatalf("dial %s->%s: %v", from, to, err)
@@ -49,7 +51,7 @@ func dialPair(t *testing.T, n *Net, from, to string) (client, server net.Conn) {
 func readAsync(c net.Conn, size int) (<-chan []byte, <-chan error) {
 	data := make(chan []byte, 1)
 	errc := make(chan error, 1)
-	go func() {
+	goCounted(c.(*nsConn).n.clock, func() {
 		buf := make([]byte, size)
 		n, err := c.Read(buf)
 		if err != nil {
@@ -57,8 +59,19 @@ func readAsync(c net.Conn, size int) (<-chan []byte, <-chan error) {
 			return
 		}
 		data <- buf[:n]
-	}()
+	})
 	return data, errc
+}
+
+// goCounted runs f on a goroutine the clock counts as running, as every
+// goroutine that blocks on the virtual network must be: Advance waits
+// for it to park or return, and the count never drops below zero.
+func goCounted(clk *Clock, f func()) {
+	pk := vclock.Start(clk)
+	go func() {
+		defer pk.Exit()
+		f()
+	}()
 }
 
 func wantData(t *testing.T, data <-chan []byte, errc <-chan error, want string) {
@@ -135,10 +148,16 @@ func TestClockTicker(t *testing.T) {
 	tk := clk.NewTicker(10 * time.Millisecond)
 	defer tk.Stop()
 	done := make(chan int, 1)
+	// The consumer reports its ticks through a Parker, so each Advance
+	// waits for it to take the tick it was just handed.
+	pk := vclock.Start(clk)
+	pk.Watch(tk)
 	go func() {
-		n := 0
-		for range tk.C() {
-			n++
+		defer pk.Exit()
+		for n := 1; ; n++ {
+			pk.Park()
+			<-tk.C()
+			pk.Take()
 			if n == 3 {
 				done <- n
 				return
@@ -199,7 +218,7 @@ func TestFIFOUnderJitter(t *testing.T) {
 	}
 	var got []byte
 	done := make(chan struct{})
-	go func() {
+	goCounted(clk, func() {
 		defer close(done)
 		buf := make([]byte, 8)
 		for len(got) < 8 {
@@ -210,7 +229,7 @@ func TestFIFOUnderJitter(t *testing.T) {
 			}
 			got = append(got, buf[:nn]...)
 		}
-	}()
+	})
 	for i := 0; i < 50; i++ {
 		clk.Advance(time.Millisecond)
 		select {
@@ -396,7 +415,7 @@ func TestTruncatePunchesHole(t *testing.T) {
 	}
 	var got []byte
 	done := make(chan struct{})
-	go func() {
+	goCounted(clk, func() {
 		defer close(done)
 		buf := make([]byte, 16)
 		for len(got) < 8 {
@@ -407,7 +426,7 @@ func TestTruncatePunchesHole(t *testing.T) {
 			}
 			got = append(got, buf[:nn]...)
 		}
-	}()
+	})
 	for i := 0; i < 20; i++ {
 		clk.Advance(time.Millisecond)
 		select {
@@ -430,10 +449,10 @@ func TestListenerCloseAndRebind(t *testing.T) {
 		t.Fatalf("listen: %v", err)
 	}
 	errc := make(chan error, 1)
-	go func() {
+	goCounted(clk, func() {
 		_, err := ln.Accept()
 		errc <- err
-	}()
+	})
 	ln.Close()
 	select {
 	case err := <-errc:
@@ -576,10 +595,10 @@ func TestWriteDeadlineOnFullPipe(t *testing.T) {
 		t.Fatalf("set write deadline: %v", err)
 	}
 	wrote := make(chan error, 1)
-	go func() {
+	goCounted(clk, func() {
 		_, err := c.Write([]byte("overflow"))
 		wrote <- err
-	}()
+	})
 	select {
 	case err := <-wrote:
 		t.Fatalf("write into a full pipe returned early: %v", err)

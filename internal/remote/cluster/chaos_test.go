@@ -156,7 +156,6 @@ func TestChaosLongPartition(t *testing.T) {
 // runtime.MemStats, so concurrent tests would pollute the samples.
 func TestChaosPartitionMemoryFlat(t *testing.T) {
 	clk := netsim.NewClock()
-	clk.Yield = 0
 	nw := netsim.NewNet(clk, 7)
 	g := graph.Ring(5)
 	placement := [][]int{{0}, {1}, {2}, {3}, {4}}

@@ -124,11 +124,6 @@ func RunPlan(cfg PlanConfig) (*PlanRun, error) {
 	}
 
 	clk := netsim.NewClock()
-	// Settle with scheduler yields alone: the real-time pause is a
-	// fidelity knob, not a correctness one — the anchor-seeking search
-	// below already tolerates simulated processing lag, and skipping the
-	// sleeps cuts wall time several-fold on small machines.
-	clk.Yield = 0
 	nw := netsim.NewNet(clk, cfg.Seed)
 	n := cfg.Graph.N()
 	addrs := make([]string, n)

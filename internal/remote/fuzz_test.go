@@ -10,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/netsim"
+	"repro/internal/vclock"
 	"repro/internal/wire"
 )
 
@@ -21,7 +22,6 @@ import (
 func fuzzVictim(t *testing.T) (*Node, *netsim.Clock, net.Conn) {
 	t.Helper()
 	clk := netsim.NewClock()
-	clk.Yield = 0
 	nw := netsim.NewNet(clk, 1)
 	ln, err := nw.Host("n1").Listen()
 	if err != nil {
@@ -72,13 +72,21 @@ func feedInbound(t *testing.T, stream []byte) {
 	t.Helper()
 	n, clk, c := fuzzVictim(t)
 	if len(stream) > 0 {
-		if _, err := c.Write(stream); err != nil {
+		// A stream past the pipe's buffer parks the write until the
+		// victim reads, so count this goroutine while it writes.
+		writer := vclock.Start(clk)
+		_, err := c.Write(stream)
+		writer.Exit()
+		if err != nil {
 			t.Fatalf("virtual write: %v", err)
 		}
 	}
 	// Drain whatever the node replies (a Hello, acks) so its writes hit
 	// a live reader, and surface the node's view of the stream ending.
+	// The reader parks on the virtual network, so the clock counts it.
+	reader := vclock.Start(clk)
 	go func() {
+		defer reader.Exit()
 		var buf [512]byte
 		for {
 			if _, err := c.Read(buf[:]); err != nil {

@@ -11,8 +11,9 @@
 // connection but connections die and are replaced, so above each
 // node-pair connection the transport runs an ARQ discipline per
 // ordered process pair: sequence numbers assigned at first send,
-// cumulative acknowledgments (piggybacked on data frames and echoed as
-// pure acks), go-back-N retransmission with the shared exponential
+// cumulative acknowledgments (piggybacked on data frames, or sent as
+// pure acks at the next manager tick when no reply carries them),
+// go-back-N retransmission with the shared exponential
 // backoff + jitter policy (internal/backoff), and receive-side
 // dedup/reordering — so application delivery is exactly-once FIFO
 // *across reconnects*, which is what core.Diner requires.
@@ -250,6 +251,7 @@ func NewNode(cfg Config) (*Node, error) {
 			node:      n,
 			id:        pid,
 			inbox:     make(chan procEvent, cfg.ProcInboxCap),
+			park:      vclock.NewParker(cfg.Clock),
 			dead:      make(chan struct{}),
 			nbrs:      topo.G.Neighbors(pid),
 			lastHeard: make(map[int]time.Time),
@@ -304,9 +306,11 @@ func (n *Node) Start() error {
 		n.ln = ln
 	}
 	n.wg.Add(1)
-	go n.acceptLoop()
+	accept := vclock.Start(n.clk)
+	go n.acceptLoop(accept)
 	for _, p := range n.peers {
 		n.wg.Add(1)
+		p.park.Begin()
 		go p.run()
 	}
 	now := n.clk.Now()
@@ -316,11 +320,13 @@ func (n *Node) Start() error {
 			p.timeout[j] = n.cfg.InitialTimeout
 		}
 		n.wg.Add(1)
+		p.park.Begin()
 		go p.run()
 		p.post(procEvent{kind: evHungry})
 	}
 	n.wg.Add(1)
-	go n.watchdog()
+	watch := vclock.Start(n.clk)
+	go n.watchdog(watch)
 	return nil
 }
 
@@ -344,6 +350,19 @@ func (n *Node) Stop() {
 		}
 	})
 	n.wg.Wait()
+}
+
+// stopping reports, without blocking, whether Stop has begun. Once it
+// has, post may drop a message while a later one from the same sender
+// still lands, so the run loops check it after every dequeue and
+// handle nothing more.
+func (n *Node) stopping() bool {
+	select {
+	case <-n.stop:
+		return true
+	default:
+		return false
+	}
 }
 
 // logf emits debug logging when configured.
@@ -473,6 +492,7 @@ type rproc struct {
 	id    int
 	diner *core.Diner // owned: run
 	inbox chan procEvent
+	park  *vclock.Parker // run's share of the clock's running count
 	dead  chan struct{}
 	once  sync.Once
 	nbrs  []int
@@ -492,10 +512,21 @@ type rproc struct {
 }
 
 // post delivers an event, giving up if the process died or the node is
-// stopping.
+// stopping. On a full inbox the caller waits as idle to the clock: a
+// process wedged in a hook must not stop the virtual time its watchdog
+// needs.
 func (p *rproc) post(ev procEvent) {
 	select {
 	case p.inbox <- ev:
+		p.park.Handed()
+		return
+	default:
+	}
+	idle := p.park.Blocking()
+	defer p.park.Unblocked(idle)
+	select {
+	case p.inbox <- ev:
+		p.park.Handed()
 	case <-p.dead:
 	case <-p.node.stop:
 	}
@@ -505,6 +536,7 @@ func (p *rproc) post(ev procEvent) {
 func (p *rproc) postHeartbeat(from int) {
 	select {
 	case p.inbox <- procEvent{kind: evHeartbeat, from: from}:
+		p.park.Handed()
 	default:
 	}
 }
@@ -514,6 +546,7 @@ func (p *rproc) postHeartbeat(from int) {
 func (p *rproc) crash() {
 	p.once.Do(func() {
 		close(p.dead)
+		p.park.Release()
 		if p.node.cfg.OnProcCrash != nil {
 			p.node.cfg.OnProcCrash(p.id)
 		}
@@ -523,6 +556,7 @@ func (p *rproc) crash() {
 
 func (p *rproc) run() {
 	defer p.node.wg.Done()
+	defer p.park.Exit()
 	// A panicking daemon hook must not hang the neighbors sharing this
 	// process's forks: recover, record, and fall over as a crash.
 	defer func() {
@@ -533,16 +567,26 @@ func (p *rproc) run() {
 	}()
 	ticker := p.node.clk.NewTicker(p.node.cfg.HeartbeatPeriod)
 	defer ticker.Stop()
+	p.park.Watch(ticker)
 	p.lastEvent.Store(p.node.clk.Now().UnixNano())
 	for {
+		p.park.Park()
 		select {
 		case <-p.node.stop:
 			return
 		case <-p.dead:
 			return
 		case <-ticker.C():
+			p.park.Take()
 			p.heartbeatRound()
 		case ev := <-p.inbox:
+			p.park.Take()
+			if p.node.stopping() {
+				// Stop may have made post drop an earlier event from the
+				// same sender; handling this one without it would feed the
+				// diner a gap (a fork it never asked for, say).
+				return
+			}
 			p.handle(ev)
 		}
 		// Progress stamp for the watchdog: a full inbox plus a stale

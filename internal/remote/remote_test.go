@@ -107,7 +107,6 @@ func virtCluster(t *testing.T, g *graph.Graph, placement [][]int, mut func(i int
 func virtClusterNet(t *testing.T, g *graph.Graph, placement [][]int, mut func(i int, cfg *Config)) ([]*Node, *netsim.Clock, *netsim.Net) {
 	t.Helper()
 	clk := netsim.NewClock()
-	clk.Yield = 0
 	nw := netsim.NewNet(clk, 1)
 	listeners := make([]net.Listener, len(placement))
 	specs := make([]NodeSpec, len(placement))
@@ -503,7 +502,6 @@ func TestIncarnationResetsARQState(t *testing.T) {
 func TestPeerRestartResetsLink(t *testing.T) {
 	g := graph.Clique(2)
 	clk := netsim.NewClock()
-	clk.Yield = 0
 	nw := netsim.NewNet(clk, 1)
 	ln0, err := nw.Host("n0").Listen()
 	if err != nil {

@@ -1,6 +1,8 @@
 package remote
 
 import (
+	"bytes"
+	"encoding/json"
 	"flag"
 	"net/http/httptest"
 	"os"
@@ -21,7 +23,7 @@ var (
 	statusStateRe  = regexp.MustCompile(`"state": "[^"]*"`)
 	statusCountRe  = regexp.MustCompile(`"(eat_count|sessions|connects|retransmits|dup_suppressed|writer_drops|max_edge_occupancy|coalesced|stalls|wedges|depth|peak_depth|bytes)": \d+`)
 	statusBoolRe   = regexp.MustCompile(`"connected": (?:true|false)`)
-	statusSuspects = regexp.MustCompile(`\n\s*"suspects": \[[^\]]*\],?`)
+	statusSuspects = regexp.MustCompile(`,\n\s*"suspects": \[[^\]]*\]`)
 	statusHealthRe = regexp.MustCompile(`"health": "[^"]*"`)
 	// The transition tally depends on connect/reconnect timing, so both
 	// its keys and counts are run-dependent; drop the whole object.
@@ -32,6 +34,8 @@ func normalizeStatusJSON(b []byte) []byte {
 	b = statusStateRe.ReplaceAll(b, []byte(`"state": "X"`))
 	b = statusCountRe.ReplaceAll(b, []byte(`"$1": 0`))
 	b = statusBoolRe.ReplaceAll(b, []byte(`"connected": true`))
+	// A non-empty suspects list follows "sessions" and may precede
+	// "crashed"; it goes together with the comma in front of it.
 	b = statusSuspects.ReplaceAll(b, nil)
 	b = statusHealthRe.ReplaceAll(b, []byte(`"health": "X"`))
 	b = statusStepsRe.ReplaceAll(b, nil)
@@ -75,5 +79,36 @@ func TestStatusGolden(t *testing.T) {
 	}
 	if string(got) != string(want) {
 		t.Fatalf("/status JSON drifted from golden (run with -update if intentional):\ngot:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestNormalizeStatusDropsSuspects pins the normalizer on documents
+// with non-empty suspect lists, in both positions a list can take:
+// last in its object, and ahead of "crashed". Normalizing must leave
+// the document the golden would hold had nothing been suspected.
+func TestNormalizeStatusDropsSuspects(t *testing.T) {
+	render := func(st Status) []byte {
+		var b bytes.Buffer
+		enc := json.NewEncoder(&b)
+		enc.SetIndent("", "  ")
+		if err := enc.Encode(st); err != nil {
+			t.Fatal(err)
+		}
+		return b.Bytes()
+	}
+	suspected := Status{Procs: []ProcStatus{
+		{ID: 0, State: "Hungry", Suspects: []int{1, 2}},
+		{ID: 1, State: "Thinking", Suspects: []int{0}, Crashed: true},
+	}}
+	quiet := Status{Procs: []ProcStatus{
+		{ID: 0, State: "Hungry"},
+		{ID: 1, State: "Thinking", Crashed: true},
+	}}
+	got := normalizeStatusJSON(render(suspected))
+	if want := normalizeStatusJSON(render(quiet)); string(got) != string(want) {
+		t.Fatalf("normalized:\n%s\nwant:\n%s", got, want)
+	}
+	if !json.Valid(got) {
+		t.Fatalf("normalized document is not valid JSON:\n%s", got)
 	}
 }

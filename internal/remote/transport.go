@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/vclock"
 	"repro/internal/wire"
 )
 
@@ -38,9 +39,9 @@ type sendEntry struct {
 	// iovec flush path retransmits these exact bytes without re-encoding
 	// or re-slicing. The piggybacked ack inside is the one current at
 	// submit; that staleness is harmless because cumulative acks are
-	// monotone and the receive path restates the latest value on every
-	// inbound burst. Buffers are immutable once queued — the write loop
-	// may still hold a reference after the ack pops the entry.
+	// monotone and the receive path restates the latest value within
+	// one tick (pendingAck). Buffers are immutable once queued — the
+	// write loop may still hold a reference after the ack pops the entry.
 	buf []byte
 }
 
@@ -93,6 +94,7 @@ type liveConn struct {
 	c    net.Conn
 	gen  uint64
 	out  chan []byte
+	park *vclock.Parker // the writer's share of the clock's running count
 	done chan struct{}
 
 	// rd is the generation's zero-copy frame decoder. Frames it yields
@@ -123,6 +125,7 @@ type peer struct {
 	remote int
 	dialer bool // exactly one side dials: the lower node index
 	cmds   chan func()
+	park   *vclock.Parker // run's share of the clock's running count
 
 	// Manager-owned state below; the annotations bind each field to the
 	// run loop, enforced by the mailboxown analyzer.
@@ -134,14 +137,13 @@ type peer struct {
 	capFails  int                    // owned: run — consecutive dial failures at the backoff cap (Down hysteresis)
 	sends     map[pairKey]*sendState // owned: run
 	recvs     map[pairKey]*recvState // owned: run
-	// pendingHB coalesces heartbeats awaiting writer room; pendingAck
-	// coalesces cumulative acks (highest wins).
+	// pendingHB coalesces heartbeats awaiting writer room. pendingAck
+	// holds the cumulative ack owed per pair (highest wins): inbound data
+	// records it there, and it leaves either piggybacked on the next data
+	// frame of the reverse pair (submit drops the covered stash) or as a
+	// pure ack frame at the next tick (flushCoalesced).
 	pendingHB  map[pairKey]bool   // owned: run
 	pendingAck map[pairKey]uint64 // owned: run
-	// ackDue accumulates the batched cumulative acks of one inbound
-	// burst (highest per pair); onInbound drains it before returning, so
-	// it never carries state between commands.
-	ackDue map[pairKey]uint64 // owned: run
 	// iov is scratch for gathering a ring's stored encodings into one
 	// retransmission burst without allocating per scan.
 	iov [][]byte   // owned: run
@@ -163,25 +165,38 @@ func newPeer(n *Node, remote int) *peer {
 		remote:     remote,
 		dialer:     n.self < remote,
 		cmds:       make(chan func(), 1024),
+		park:       vclock.NewParker(n.clk),
 		sends:      make(map[pairKey]*sendState),
 		recvs:      make(map[pairKey]*recvState),
 		pendingHB:  make(map[pairKey]bool),
 		pendingAck: make(map[pairKey]uint64),
-		ackDue:     make(map[pairKey]uint64),
 		rng:        n.jitterRand(remote),
 	}
 }
 
 // post hands a closure to the manager goroutine, giving up when the
-// node is stopping.
+// node is stopping. On a full mailbox the caller waits as idle to the
+// clock, as in rproc.post: the manager may itself be blocked on a
+// wedged process's inbox.
 func (p *peer) post(fn func()) {
 	select {
 	case p.cmds <- fn:
+		p.park.Handed()
+		return
+	default:
+	}
+	idle := p.park.Blocking()
+	defer p.park.Unblocked(idle)
+	select {
+	case p.cmds <- fn:
+		p.park.Handed()
 	case <-p.node.stop:
 	}
 }
 
-// tickEvery derives the retransmission scan period from the RTO.
+// tickEvery derives the retransmission scan period from the RTO. The
+// same tick flushes deferred acks, so it also bounds how long an ack
+// may wait for a reverse data frame to carry it.
 func (p *peer) tickEvery() time.Duration {
 	d := p.node.cfg.RTO / 3
 	if d < 5*time.Millisecond {
@@ -196,20 +211,31 @@ func (p *peer) tickEvery() time.Duration {
 // run is the manager loop.
 func (p *peer) run() {
 	defer p.node.wg.Done()
+	defer p.park.Exit()
 	defer p.teardown()
 	ticker := p.node.clk.NewTicker(p.tickEvery())
 	defer ticker.Stop()
+	p.park.Watch(ticker)
 	if p.dialer {
 		p.startDial()
 	}
 	p.lastDrain.Store(p.node.clk.Now().UnixNano())
 	for {
+		p.park.Park()
 		select {
 		case <-p.node.stop:
 			return
 		case fn := <-p.cmds:
+			p.park.Take()
+			if p.node.stopping() {
+				// Stop may have made post drop an earlier command from the
+				// same sender; running this one without it would, say,
+				// give a later message the dropped one's sequence number.
+				return
+			}
 			fn()
 		case <-ticker.C():
+			p.park.Take()
 			p.tick()
 		}
 		// Stamp progress for the watchdog: a manager that stops making
@@ -237,13 +263,15 @@ func (p *peer) startDial() {
 	p.dialing = true
 	addr := p.node.topo.Nodes[p.remote].Addr
 	p.node.wg.Add(1)
-	go p.dialAttempt(addr)
+	park := vclock.Start(p.node.clk)
+	go p.dialAttempt(addr, park)
 }
 
 // dialAttempt runs off the manager goroutine: TCP connect plus the
 // client half of the Hello exchange, then hands the result back.
-func (p *peer) dialAttempt(addr string) {
+func (p *peer) dialAttempt(addr string, park *vclock.Parker) {
 	defer p.node.wg.Done()
+	defer park.Exit()
 	var inc uint64
 	c, err := p.dialConn(addr)
 	if err == nil {
@@ -359,22 +387,25 @@ func (n *Node) checkHello(fr wire.Frame, wantNode int) error {
 }
 
 // acceptLoop serves inbound connections until the listener closes.
-func (n *Node) acceptLoop() {
+func (n *Node) acceptLoop(park *vclock.Parker) {
 	defer n.wg.Done()
+	defer park.Exit()
 	for {
 		c, err := n.ln.Accept()
 		if err != nil {
 			return // listener closed (Stop)
 		}
 		n.wg.Add(1)
-		go n.serverHandshake(c)
+		hs := vclock.Start(n.clk)
+		go n.serverHandshake(c, hs)
 	}
 }
 
 // serverHandshake validates an inbound Hello, replies with ours, and
 // hands the connection to the owning peer manager.
-func (n *Node) serverHandshake(c net.Conn) {
+func (n *Node) serverHandshake(c net.Conn, park *vclock.Parker) {
 	defer n.wg.Done()
+	defer park.Exit()
 	c.SetDeadline(n.clk.Now().Add(handshakeTimeout))
 	fr, err := wire.ReadFrame(c)
 	if err != nil || fr.Kind != wire.Hello {
@@ -478,7 +509,7 @@ func (p *peer) noteIncarnation(inc uint64) {
 func (p *peer) adopt(c net.Conn, inc uint64) {
 	p.noteIncarnation(inc)
 	p.connGen++
-	lc := &liveConn{c: c, gen: p.connGen, out: make(chan []byte, writerQueueCap), done: make(chan struct{}), rd: wire.NewDecoder(c)}
+	lc := &liveConn{c: c, gen: p.connGen, out: make(chan []byte, writerQueueCap), park: vclock.NewParker(p.node.clk), done: make(chan struct{}), rd: wire.NewDecoder(c)}
 	p.conn = lc
 	p.liveSock.Store(sockBox{c: c})
 	p.dialDelay = 0
@@ -493,7 +524,9 @@ func (p *peer) adopt(c net.Conn, inc uint64) {
 	}
 	p.node.logf("node %d: connected to node %d (gen %d)", p.node.self, p.remote, lc.gen)
 	p.node.wg.Add(2)
-	go p.readLoop(lc)
+	reader := vclock.Start(p.node.clk)
+	go p.readLoop(lc, reader)
+	lc.park.Begin()
 	go p.writeLoop(lc)
 	now := p.node.clk.Now()
 	for key, ss := range p.sends {
@@ -558,6 +591,7 @@ func (p *peer) sendEncoded(buf []byte) bool {
 	}
 	select {
 	case p.conn.out <- buf:
+		p.conn.park.Handed()
 		p.conn.satSince = time.Time{}
 		return true
 	default:
@@ -568,11 +602,13 @@ func (p *peer) sendEncoded(buf []byte) bool {
 	}
 }
 
-// sendAck transmits a cumulative ack for the from→to pair (manager
-// goroutine only; skipped while disconnected — adopt restates acks).
-// On a saturated writer the highest ack per pair is stashed instead of
-// queued: cumulative acks are idempotent and monotone, so restating
-// only the latest loses nothing while shedding queue pressure.
+// sendAck transmits a cumulative ack for the from→to pair at once — the
+// reconnect restatement in adopt; acks owed for inbound data wait in
+// pendingAck instead (manager goroutine only; skipped while
+// disconnected). On a saturated writer the highest ack per pair is
+// stashed instead of queued: cumulative acks are idempotent and
+// monotone, so restating only the latest loses nothing while shedding
+// queue pressure.
 func (p *peer) sendAck(from, to int, ack uint64) {
 	if p.conn == nil {
 		return
@@ -590,9 +626,11 @@ func (p *peer) sendAck(from, to int, ack uint64) {
 	}
 }
 
-// flushCoalesced drains stashed idempotent frames once the writer has
-// room again (manager goroutine only, from tick). Pairs are visited in
-// sorted order so the wire sequence stays deterministic under netsim.
+// flushCoalesced sends the stashed idempotent frames — acks still owed
+// because no reverse data frame carried them, and frames a saturated
+// writer refused — once the writer has room (manager goroutine only,
+// from tick). Pairs are visited in sorted order so the wire sequence
+// stays deterministic under netsim.
 func (p *peer) flushCoalesced() {
 	for _, key := range sortedPairKeys(p.pendingAck) {
 		buf := p.encodeFrame(wire.Frame{Kind: wire.Ack, From: uint32(key.from), To: uint32(key.to), Ack: p.pendingAck[key]})
@@ -662,20 +700,24 @@ const writeBatchMax = 64
 // promptly.
 func (p *peer) writeLoop(lc *liveConn) {
 	defer p.node.wg.Done()
+	defer lc.park.Exit()
 	wt := p.writeTimeout()
 	bufs := make(net.Buffers, 0, writeBatchMax)
 	for {
+		lc.park.Park()
 		select {
 		case <-p.node.stop:
 			return
 		case <-lc.done:
 			return
 		case buf := <-lc.out:
+			lc.park.Take()
 			bufs = append(bufs[:0], buf)
 		gather:
 			for len(bufs) < writeBatchMax {
 				select {
 				case more := <-lc.out:
+					lc.park.Take()
 					bufs = append(bufs, more)
 				default:
 					break gather
@@ -703,8 +745,7 @@ const inboundBatchMax = 128
 // straight to process inboxes, ARQ frames to the manager — draining
 // every frame the decoder already holds buffered (Decoder.More) into
 // one posted batch, so a coalesced burst arriving in one TCP segment
-// costs one manager command and one batched ack per pair instead of
-// one of each per frame.
+// costs one manager command instead of one per frame.
 //
 // Batch boundaries are trace-deterministic under netsim: its pipes
 // deliver at most one write's worth of bytes per Read and the write
@@ -717,8 +758,9 @@ const inboundBatchMax = 128
 // frames are pure values (no reference fields) and are copied into the
 // batch slice; anything that crosses a goroutine boundary otherwise —
 // the mid-stream Hello posted as a protocol error — is Clone()d first.
-func (p *peer) readLoop(lc *liveConn) {
+func (p *peer) readLoop(lc *liveConn, park *vclock.Parker) {
 	defer p.node.wg.Done()
+	defer park.Exit()
 	var fr wire.Frame
 	for {
 		// Block for the first frame of a burst.
@@ -891,9 +933,9 @@ func (p *peer) armDeadline(ss *sendState, now time.Time) {
 }
 
 // tick retransmits every pair whose oldest unacked frame has waited a
-// full RTO, flushes coalesced control frames, and tears down a writer
-// that has been saturated past the write timeout (manager goroutine
-// only).
+// full RTO, flushes deferred acks and coalesced control frames, and
+// tears down a writer that has been saturated past the write timeout
+// (manager goroutine only).
 func (p *peer) tick() {
 	if p.conn == nil {
 		return
@@ -929,8 +971,8 @@ func (p *peer) tick() {
 // re-encode, no re-slice, one writer offer per frame that the write
 // loop gathers into a single writev. The piggybacked ack inside each
 // stored frame is the one frozen at submit; the receive path restates
-// the current cumulative ack on every inbound burst, and acks are
-// monotone, so the frozen value can never move the peer backwards.
+// the current cumulative ack within one tick, and acks are monotone,
+// so the frozen value can never move the peer backwards.
 func (p *peer) retransmitQueue(key pairKey, ss *sendState) {
 	_ = key // the pair's identity lives in the stored frames
 	p.iov = ss.queue.appendBufs(p.iov[:0])
@@ -978,15 +1020,13 @@ func (p *peer) stale(gen uint64) bool {
 }
 
 // onInbound applies one read burst — Data and Ack frames decoded from
-// bytes the wire had already delivered — in stream order, then flushes
-// one batched cumulative ack per ordered pair the burst touched
-// (manager goroutine only). Batching the acks is what collapses the
-// reverse stream under load: a 64-frame coalesced burst used to cost
-// 64 pure acks, now it costs one per pair, restating the highest
-// in-order sequence. Cumulative acks are monotone, so the skipped
-// intermediate values carry no information; exactly-once FIFO is
-// untouched because delivery order and dedup happen per frame below,
-// before any ack is formed.
+// bytes the wire had already delivered — in stream order (manager
+// goroutine only). It sends no ack itself: onData records each pair's
+// cumulative ack in pendingAck, where the local diner's reply usually
+// picks it up piggybacked and the next tick flushes whatever is left.
+// Cumulative acks are monotone, so restating only the highest value
+// loses nothing; exactly-once FIFO is untouched because delivery order
+// and dedup happen per frame, before any ack is formed.
 func (p *peer) onInbound(gen uint64, frames []wire.Frame) {
 	if p.stale(gen) {
 		return
@@ -1004,20 +1044,17 @@ func (p *peer) onInbound(gen uint64, frames []wire.Frame) {
 			p.node.tr.recordErr(fmt.Errorf("remote: %v frame in inbound batch", fr.Kind))
 		}
 	}
-	// Flush the burst's acks, one per pair in sorted order (determinism
-	// under netsim); sendAck stashes into pendingAck when the writer is
-	// saturated, exactly like the per-frame path did.
-	for _, key := range sortedPairKeys(p.ackDue) {
-		p.sendAck(key.from, key.to, p.ackDue[key])
-		delete(p.ackDue, key)
-	}
 }
 
 // onData processes one data frame from remote process fr.From to local
-// process fr.To (manager goroutine only) and records the pair's ack in
-// ackDue for the batch flush — acknowledging every data frame, if only
-// cumulatively, so the sender's queue drains even when the application
-// has nothing to say back.
+// process fr.To (manager goroutine only) and owes the sender an ack:
+// the pair's cumulative ack goes into pendingAck. Every data frame is
+// acknowledged, if only cumulatively, within one tick — piggybacked if
+// the local process replies first, as a pure ack otherwise — so the
+// sender's queue drains even when the application has nothing to say
+// back. One tick (tickEvery) is at most RTO/3 for any RTO of 15ms or
+// more, so on a link whose round trip fits in the rest of the RTO the
+// deferral costs no retransmission.
 func (p *peer) onData(fr wire.Frame) {
 	p.applyAck(int(fr.To), int(fr.From), fr.Ack)
 	key := pairKey{from: int(fr.From), to: int(fr.To)}
@@ -1045,8 +1082,8 @@ func (p *peer) onData(fr wire.Frame) {
 		}
 	}
 	ackKey := pairKey{from: key.to, to: key.from}
-	if cur, ok := p.ackDue[ackKey]; !ok || rs.next-1 > cur {
-		p.ackDue[ackKey] = rs.next - 1
+	if cur, ok := p.pendingAck[ackKey]; !ok || rs.next-1 > cur {
+		p.pendingAck[ackKey] = rs.next - 1
 	}
 }
 

@@ -3,6 +3,8 @@ package remote
 import (
 	"fmt"
 	"time"
+
+	"repro/internal/vclock"
 )
 
 // The node watchdog is the self-defense layer behind the transport's
@@ -43,19 +45,23 @@ import (
 // safe through the incarnation handshake (noteIncarnation), where the
 // restarted side provably boots fresh — so recovery-by-restart stays
 // the job of the crash/restart path the watchdog feeds into.
-func (n *Node) watchdog() {
+func (n *Node) watchdog(park *vclock.Parker) {
 	defer n.wg.Done()
+	defer park.Exit()
 	budget := n.cfg.WedgeBudget
 	ticker := n.clk.NewTicker(budget / 2)
 	defer ticker.Stop()
+	park.Watch(ticker)
 	// downSince tracks managers the watchdog has already intervened
 	// against, for the one-more-budget escalation.
 	downSince := make(map[int]time.Time)
 	for {
+		park.Park()
 		select {
 		case <-n.stop:
 			return
 		case <-ticker.C():
+			park.Take()
 			n.watchdogScan(budget, downSince)
 		}
 	}
