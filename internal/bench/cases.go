@@ -472,7 +472,8 @@ func SweepE8Workers1(b *testing.B) { sweepE8(b, 1) }
 func SweepE8WorkersMax(b *testing.B) { sweepE8(b, 0) }
 
 // CoreDinerCycle micro-benchmarks one complete hungry cycle of the raw
-// state machine (two diners, hand-pumped messages).
+// state machine (two diners, hand-pumped messages). The queue is
+// consumed by index, so allocs/op counts the diners alone.
 func CoreDinerCycle(b *testing.B) {
 	hi, err := core.NewDiner(core.Config{ID: 0, Color: 2, NeighborColors: map[int]int{1: 1}})
 	if err != nil {
@@ -482,28 +483,27 @@ func CoreDinerCycle(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	diners := map[int]*core.Diner{0: hi, 1: lo}
-	b.ReportAllocs()
-	b.ResetTimer()
+	diners := []*core.Diner{hi, lo}
 	queue := make([]core.Message, 0, 16)
-	for i := 0; i < b.N; i++ {
-		queue = append(queue[:0], hi.BecomeHungry()...)
-		queue = append(queue, lo.BecomeHungry()...)
-		for len(queue) > 0 {
-			m := queue[0]
-			queue = queue[1:]
+	pump := func() {
+		for head := 0; head < len(queue); head++ {
+			m := queue[head]
 			queue = append(queue, diners[m.To].Deliver(m)...)
 		}
+		queue = queue[:0]
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		queue = append(queue, hi.BecomeHungry()...)
+		queue = append(queue, lo.BecomeHungry()...)
+		pump()
 		for _, d := range diners {
 			if d.State() == core.Eating {
 				queue = append(queue, d.ExitEating()...)
 			}
 		}
-		for len(queue) > 0 {
-			m := queue[0]
-			queue = queue[1:]
-			queue = append(queue, diners[m.To].Deliver(m)...)
-		}
+		pump()
 		for _, d := range diners {
 			if d.State() == core.Eating {
 				d.ExitEating()

@@ -80,8 +80,8 @@ type Hooks struct {
 type Diner struct {
 	id        int
 	color     int
-	neighbors []int       // sorted, for deterministic message order
-	colorOf   map[int]int // neighbor colors (for initial fork placement)
+	neighbors []int  // sorted, for deterministic message order
+	edges     []edge // edges[i] is the edge to neighbors[i]
 	suspects  func(j int) bool
 	opts      Options
 	hooks     Hooks
@@ -89,21 +89,45 @@ type Diner struct {
 	state  State
 	inside bool
 
-	// Per-neighbor protocol variables, exactly the paper's nine
-	// variable families (state, inside, color above; six booleans per
-	// neighbor below — `granted` generalizes the paper's boolean
-	// replied_ij to a counter so that AcksPerSession > 1 is
-	// expressible; at the default limit of 1 it carries one bit).
-	pinged   map[int]bool // pending ping initiated by us
-	ack      map[int]bool // ack received this hungry session (pre-doorway)
-	deferred map[int]bool // we owe j an ack after we exit the doorway
-	granted  map[int]int  // acks sent to j during our current hungry session
-	fork     map[int]bool // we hold the fork shared with j
-	token    map[int]bool // we hold the request token shared with j
+	// out is the reused output buffer every action returns a prefix
+	// of (the borrowed-result contract on Process).
+	out []Message
 
 	eatCount   int
 	sessionSeq int // hungry sessions started
 	err        error
+}
+
+// edge holds the protocol variables of the edge to one neighbor j:
+// the paper's six booleans per neighbor (Section 7) plus j's color.
+// `granted` generalizes the paper's boolean replied_ij to a counter so
+// that AcksPerSession > 1 is expressible; at the default limit of 1 it
+// carries one bit.
+type edge struct {
+	color    int  // j's color (for fork/token placement)
+	granted  int  // acks sent to j during our current hungry session
+	pinged   bool // pending ping initiated by us
+	ack      bool // ack received this hungry session (pre-doorway)
+	deferred bool // we owe j an ack after we exit the doorway
+	fork     bool // we hold the fork shared with j
+	token    bool // we hold the request token shared with j
+}
+
+// reset restores the edge to its NewDiner values for a process of
+// color c: fork at the higher color, token at the lower, no pings,
+// acks, deferrals or grants outstanding.
+func (e *edge) reset(c int) {
+	*e = edge{color: e.color, fork: c > e.color, token: c < e.color}
+}
+
+// edgeTo returns the record of the edge to neighbor j, or nil if j is
+// not a neighbor.
+func (d *Diner) edgeTo(j int) *edge {
+	i := sort.SearchInts(d.neighbors, j)
+	if i < len(d.neighbors) && d.neighbors[i] == j {
+		return &d.edges[i]
+	}
+	return nil
 }
 
 var _ Process = (*Diner)(nil)
@@ -134,17 +158,10 @@ func NewDiner(cfg Config) (*Diner, error) {
 	d := &Diner{
 		id:       cfg.ID,
 		color:    cfg.Color,
-		colorOf:  make(map[int]int, len(cfg.NeighborColors)),
 		suspects: cfg.Suspects,
 		opts:     cfg.Options,
 		hooks:    cfg.Hooks,
 		state:    Thinking,
-		pinged:   make(map[int]bool, len(cfg.NeighborColors)),
-		ack:      make(map[int]bool, len(cfg.NeighborColors)),
-		deferred: make(map[int]bool, len(cfg.NeighborColors)),
-		granted:  make(map[int]int, len(cfg.NeighborColors)),
-		fork:     make(map[int]bool, len(cfg.NeighborColors)),
-		token:    make(map[int]bool, len(cfg.NeighborColors)),
 	}
 	if d.suspects == nil {
 		d.suspects = func(int) bool { return false }
@@ -156,7 +173,8 @@ func NewDiner(cfg Config) (*Diner, error) {
 		d.neighbors = append(d.neighbors, j)
 	}
 	sort.Ints(d.neighbors)
-	for _, j := range d.neighbors {
+	d.edges = make([]edge, len(d.neighbors))
+	for i, j := range d.neighbors {
 		c := cfg.NeighborColors[j]
 		if j == cfg.ID {
 			return nil, fmt.Errorf("%w: process %d lists itself as neighbor", ErrBadConfig, cfg.ID)
@@ -164,12 +182,8 @@ func NewDiner(cfg Config) (*Diner, error) {
 		if c == cfg.Color {
 			return nil, fmt.Errorf("%w: neighbors %d and %d share color %d", ErrBadConfig, cfg.ID, j, c)
 		}
-		d.colorOf[j] = c
-		if cfg.Color > c {
-			d.fork[j] = true
-		} else {
-			d.token[j] = true
-		}
+		d.edges[i].color = c
+		d.edges[i].reset(cfg.Color)
 	}
 	return d, nil
 }
@@ -187,10 +201,16 @@ func (d *Diner) State() State { return d.state }
 func (d *Diner) Inside() bool { return d.inside }
 
 // HoldsFork reports whether the diner holds the fork shared with j.
-func (d *Diner) HoldsFork(j int) bool { return d.fork[j] }
+func (d *Diner) HoldsFork(j int) bool {
+	e := d.edgeTo(j)
+	return e != nil && e.fork
+}
 
 // HoldsToken reports whether the diner holds the token shared with j.
-func (d *Diner) HoldsToken(j int) bool { return d.token[j] }
+func (d *Diner) HoldsToken(j int) bool {
+	e := d.edgeTo(j)
+	return e != nil && e.token
+}
 
 // EatCount returns how many times the diner has entered eating.
 func (d *Diner) EatCount() int { return d.eatCount }
@@ -225,7 +245,7 @@ func (d *Diner) BecomeHungry() []Message {
 	if d.hooks.OnHungry != nil {
 		d.hooks.OnHungry()
 	}
-	return d.fire(nil)
+	return d.fire(d.out[:0])
 }
 
 // Deliver implements Process (Actions 3, 4, 7, 8 plus the fixpoint of
@@ -235,53 +255,54 @@ func (d *Diner) Deliver(m Message) []Message {
 		return nil
 	}
 	j := m.From
-	if _, ok := d.colorOf[j]; !ok {
+	e := d.edgeTo(j)
+	if e == nil {
 		d.fail(ErrNotNeighbor, j)
 		return nil
 	}
-	var out []Message
+	out := d.out[:0]
 	switch m.Kind {
 	case Ping: // Action 3
 		limit := d.opts.ackLimit()
-		if d.inside || (limit >= 0 && d.granted[j] >= limit) {
-			d.deferred[j] = true
+		if d.inside || (limit >= 0 && e.granted >= limit) {
+			e.deferred = true
 		} else {
 			out = append(out, Message{Kind: Ack, From: d.id, To: j})
 			if limit >= 0 && d.state == Hungry {
-				d.granted[j]++
+				e.granted++
 			}
 		}
 	case Ack: // Action 4
-		if !d.pinged[j] {
+		if !e.pinged {
 			d.fail(ErrUnsolicitedAck, j)
 			return nil
 		}
-		d.ack[j] = d.state == Hungry && !d.inside
-		d.pinged[j] = false
+		e.ack = d.state == Hungry && !d.inside
+		e.pinged = false
 	case Request: // Action 7
-		if d.token[j] {
+		if e.token {
 			d.fail(ErrDuplicateToken, j)
 			return nil
 		}
-		if !d.fork[j] {
+		if !e.fork {
 			d.fail(ErrRequestNoFork, j)
 			return nil
 		}
-		d.token[j] = true
+		e.token = true
 		if !d.inside || (d.state == Hungry && d.color < m.Color) {
 			out = append(out, Message{Kind: Fork, From: d.id, To: j})
-			d.fork[j] = false
+			e.fork = false
 		}
 	case Fork: // Action 8
-		if d.fork[j] {
+		if e.fork {
 			d.fail(ErrDuplicateFork, j)
 			return nil
 		}
-		if d.token[j] {
+		if e.token {
 			d.fail(ErrForkWithToken, j)
 			return nil
 		}
-		d.fork[j] = true
+		e.fork = true
 	default:
 		d.fail(fmt.Errorf("unknown message kind %v", m.Kind), j)
 		return nil
@@ -312,17 +333,12 @@ func (d *Diner) ResetNeighbor(j int) []Message {
 	if d.err != nil {
 		return nil
 	}
-	c, ok := d.colorOf[j]
-	if !ok {
+	e := d.edgeTo(j)
+	if e == nil {
 		return nil
 	}
-	d.pinged[j] = false
-	d.ack[j] = false
-	d.deferred[j] = false
-	d.granted[j] = 0
-	d.fork[j] = d.color > c
-	d.token[j] = d.color < c
-	return d.fire(nil)
+	e.reset(d.color)
+	return d.fire(d.out[:0])
 }
 
 // ReevaluateSuspicion implements Process: guards of Actions 5 and 9
@@ -332,7 +348,7 @@ func (d *Diner) ReevaluateSuspicion() []Message {
 	if d.err != nil {
 		return nil
 	}
-	return d.fire(nil)
+	return d.fire(d.out[:0])
 }
 
 // ExitEating implements Process (Action 10): exit eating and the
@@ -343,38 +359,52 @@ func (d *Diner) ExitEating() []Message {
 	}
 	d.inside = false
 	d.state = Thinking
-	var out []Message
-	for _, j := range d.neighbors {
-		if d.token[j] && d.fork[j] { // deferred fork request
-			out = append(out, Message{Kind: Fork, From: d.id, To: j})
-			d.fork[j] = false
-		}
-	}
-	for _, j := range d.neighbors {
-		if d.deferred[j] { // deferred ping request
-			out = append(out, Message{Kind: Ack, From: d.id, To: j})
-			d.deferred[j] = false
-		}
-	}
+	out := d.releaseDeferred(d.out[:0])
 	if d.hooks.OnExit != nil {
 		d.hooks.OnExit()
 	}
 	return d.fire(out)
 }
 
+// releaseDeferred grants every deferred fork request and then every
+// deferred ack, appending the messages to out. Both ExitEating and
+// AbortHungry leave the doorway through it.
+func (d *Diner) releaseDeferred(out []Message) []Message {
+	for i := range d.edges {
+		if e := &d.edges[i]; e.token && e.fork { // deferred fork request
+			out = append(out, Message{Kind: Fork, From: d.id, To: d.neighbors[i]})
+			e.fork = false
+		}
+	}
+	for i := range d.edges {
+		if e := &d.edges[i]; e.deferred { // deferred ping request
+			out = append(out, Message{Kind: Ack, From: d.id, To: d.neighbors[i]})
+			e.deferred = false
+		}
+	}
+	return out
+}
+
 // fire runs the enabled internal actions (2, 5, 6, 9) to a fixpoint,
-// appending any messages they emit to out.
+// appending any messages they emit to out, a prefix of the diner's
+// output buffer, and keeps the (possibly regrown) buffer for reuse.
 func (d *Diner) fire(out []Message) []Message {
+	out = d.fixpoint(out)
+	d.out = out
+	return out
+}
+
+func (d *Diner) fixpoint(out []Message) []Message {
 	for {
 		switch {
 		case d.state == Hungry && !d.inside:
 			// Action 2: request missing acks (at most one pending ping
 			// per neighbor, Lemma 2.2).
 			progress := false
-			for _, j := range d.neighbors {
-				if !d.pinged[j] && !d.ack[j] {
-					out = append(out, Message{Kind: Ping, From: d.id, To: j})
-					d.pinged[j] = true
+			for i := range d.edges {
+				if e := &d.edges[i]; !e.pinged && !e.ack {
+					out = append(out, Message{Kind: Ping, From: d.id, To: d.neighbors[i]})
+					e.pinged = true
 					progress = true
 				}
 			}
@@ -382,9 +412,9 @@ func (d *Diner) fire(out []Message) []Message {
 			// an ack or is suspected.
 			if d.doorwayGuard() {
 				d.inside = true
-				for _, j := range d.neighbors {
-					d.ack[j] = false
-					d.granted[j] = 0
+				for i := range d.edges {
+					d.edges[i].ack = false
+					d.edges[i].granted = 0
 				}
 				if d.hooks.OnEnterDoorway != nil {
 					d.hooks.OnEnterDoorway()
@@ -398,10 +428,10 @@ func (d *Diner) fire(out []Message) []Message {
 		case d.state == Hungry && d.inside:
 			// Action 6: request missing forks where we hold the token.
 			progress := false
-			for _, j := range d.neighbors {
-				if d.token[j] && !d.fork[j] {
-					out = append(out, Message{Kind: Request, From: d.id, To: j, Color: d.color})
-					d.token[j] = false
+			for i := range d.edges {
+				if e := &d.edges[i]; e.token && !e.fork {
+					out = append(out, Message{Kind: Request, From: d.id, To: d.neighbors[i], Color: d.color})
+					e.token = false
 					progress = true
 				}
 			}
@@ -426,8 +456,8 @@ func (d *Diner) fire(out []Message) []Message {
 }
 
 func (d *Diner) doorwayGuard() bool {
-	for _, j := range d.neighbors {
-		if !d.ack[j] && !d.suspected(j) {
+	for i, j := range d.neighbors {
+		if !d.edges[i].ack && !d.suspected(j) {
 			return false
 		}
 	}
@@ -435,8 +465,8 @@ func (d *Diner) doorwayGuard() bool {
 }
 
 func (d *Diner) eatGuard() bool {
-	for _, j := range d.neighbors {
-		if !d.fork[j] && !d.suspected(j) {
+	for i, j := range d.neighbors {
+		if !d.edges[i].fork && !d.suspected(j) {
 			return false
 		}
 	}
@@ -490,59 +520,24 @@ func (d *Diner) SetSuspects(fn func(j int) bool) {
 }
 
 // Clone returns a deep copy of the diner sharing the suspects oracle
-// and hooks. Used by the model checker to branch executions.
+// and hooks, but not the output buffer. Used by the model checker to
+// branch executions.
 func (d *Diner) Clone() *Diner {
-	cpB := func(m map[int]bool) map[int]bool {
-		out := make(map[int]bool, len(m))
-		for k, v := range m {
-			out[k] = v
-		}
-		return out
-	}
-	cpI := func(m map[int]int) map[int]int {
-		out := make(map[int]int, len(m))
-		for k, v := range m {
-			out[k] = v
-		}
-		return out
-	}
-	nbrs := make([]int, len(d.neighbors))
-	copy(nbrs, d.neighbors)
-	return &Diner{
-		id:         d.id,
-		color:      d.color,
-		neighbors:  nbrs,
-		colorOf:    cpI(d.colorOf),
-		suspects:   d.suspects,
-		opts:       d.opts,
-		hooks:      d.hooks,
-		state:      d.state,
-		inside:     d.inside,
-		pinged:     cpB(d.pinged),
-		ack:        cpB(d.ack),
-		deferred:   cpB(d.deferred),
-		granted:    cpI(d.granted),
-		fork:       cpB(d.fork),
-		token:      cpB(d.token),
-		eatCount:   d.eatCount,
-		sessionSeq: d.sessionSeq,
-		err:        d.err,
-	}
-}
-
-// repliedView projects the generalized grant counters onto the paper's
-// boolean replied_ij view: true iff any ack was granted this session.
-func repliedView(granted map[int]int) map[int]bool {
-	out := make(map[int]bool, len(granted))
-	for j, n := range granted {
-		out[j] = n > 0
-	}
-	return out
+	c := *d
+	c.neighbors = append([]int(nil), d.neighbors...)
+	c.edges = append([]edge(nil), d.edges...)
+	c.out = nil
+	return &c
 }
 
 // AcksGranted returns how many acks were sent to j during the current
 // hungry session (the generalized replied_ij counter).
-func (d *Diner) AcksGranted(j int) int { return d.granted[j] }
+func (d *Diner) AcksGranted(j int) int {
+	if e := d.edgeTo(j); e != nil {
+		return e.granted
+	}
+	return 0
+}
 
 // StateKey serializes the protocol-relevant variables canonically (for
 // model-checker state hashing). Session and eat counters are excluded:
@@ -553,49 +548,57 @@ func (d *Diner) StateKey() string {
 	if d.inside {
 		b = append(b, 'I')
 	}
-	for _, j := range d.neighbors {
+	for i := range d.edges {
+		e := &d.edges[i]
 		b = append(b, ';')
-		if d.pinged[j] {
+		if e.pinged {
 			b = append(b, 'p')
 		}
-		if d.ack[j] {
+		if e.ack {
 			b = append(b, 'a')
 		}
-		if d.deferred[j] {
+		if e.deferred {
 			b = append(b, 'D')
 		}
-		if g := d.granted[j]; g > 0 {
+		if g := e.granted; g > 0 {
 			b = append(b, 'g', byte('0'+g%10))
 		}
-		if d.fork[j] {
+		if e.fork {
 			b = append(b, 'f')
 		}
-		if d.token[j] {
+		if e.token {
 			b = append(b, 't')
 		}
 	}
 	return string(b)
 }
 
-// Snapshot returns a deep copy of the diner's current variables.
+// Snapshot returns a deep copy of the diner's current variables, one
+// map entry per neighbor. Replied projects the generalized grant
+// counters onto the paper's boolean replied_ij: true iff any ack was
+// granted this session.
 func (d *Diner) Snapshot() Snapshot {
-	cp := func(m map[int]bool) map[int]bool {
-		out := make(map[int]bool, len(m))
-		for k, v := range m {
-			out[k] = v
-		}
-		return out
-	}
-	return Snapshot{
+	n := len(d.neighbors)
+	s := Snapshot{
 		ID:      d.id,
 		Color:   d.color,
 		State:   d.state,
 		Inside:  d.inside,
-		Pinged:  cp(d.pinged),
-		Acked:   cp(d.ack),
-		Defer:   cp(d.deferred),
-		Replied: repliedView(d.granted),
-		Fork:    cp(d.fork),
-		Token:   cp(d.token),
+		Pinged:  make(map[int]bool, n),
+		Acked:   make(map[int]bool, n),
+		Defer:   make(map[int]bool, n),
+		Replied: make(map[int]bool, n),
+		Fork:    make(map[int]bool, n),
+		Token:   make(map[int]bool, n),
 	}
+	for i, j := range d.neighbors {
+		e := &d.edges[i]
+		s.Pinged[j] = e.pinged
+		s.Acked[j] = e.ack
+		s.Defer[j] = e.deferred
+		s.Replied[j] = e.granted > 0
+		s.Fork[j] = e.fork
+		s.Token[j] = e.token
+	}
+	return s
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"slices"
 	"testing"
 )
 
@@ -30,10 +31,11 @@ func pair(t *testing.T, colorA, colorB int) (*Diner, *Diner, *bool, *bool) {
 }
 
 // pump delivers messages between the two diners of a pair until both
-// outboxes drain (instant, reliable, FIFO channels).
+// outboxes drain (instant, reliable, FIFO channels). It copies initial
+// first: a diner's result is only valid until its next call.
 func pump(t *testing.T, a, b *Diner, initial []Message) {
 	t.Helper()
-	queue := initial
+	queue := slices.Clone(initial)
 	for steps := 0; len(queue) > 0; steps++ {
 		if steps > 10000 {
 			t.Fatal("message pump did not quiesce")

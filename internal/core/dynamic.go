@@ -3,6 +3,8 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
+	"sort"
 )
 
 // Dynamic conflict-graph support: neighbor-set and color mutation on a
@@ -33,8 +35,10 @@ func (d *Diner) Neighbors() []int {
 // NeighborColor returns the color the diner believes neighbor j has,
 // and whether j is a neighbor.
 func (d *Diner) NeighborColor(j int) (int, bool) {
-	c, ok := d.colorOf[j]
-	return c, ok
+	if e := d.edgeTo(j); e != nil {
+		return e.color, true
+	}
+	return 0, false
 }
 
 // AddNeighbor splices a new conflict edge to process j with color c,
@@ -54,13 +58,13 @@ func (d *Diner) AddNeighbor(j, c int) error {
 	if c == d.color {
 		return fmt.Errorf("%w: neighbors %d and %d share color %d", ErrBadConfig, d.id, j, c)
 	}
-	if _, ok := d.colorOf[j]; ok {
+	i := sort.SearchInts(d.neighbors, j)
+	if i < len(d.neighbors) && d.neighbors[i] == j {
 		return fmt.Errorf("%w: %d is already a neighbor of %d", ErrBadConfig, j, d.id)
 	}
-	d.neighbors = insertSortedID(d.neighbors, j)
-	d.colorOf[j] = c
-	d.fork[j] = d.color > c
-	d.token[j] = d.color < c
+	d.neighbors = slices.Insert(d.neighbors, i, j)
+	d.edges = slices.Insert(d.edges, i, edge{color: c})
+	d.edges[i].reset(d.color)
 	return nil
 }
 
@@ -75,22 +79,12 @@ func (d *Diner) RemoveNeighbor(j int) error {
 	if d.state != Thinking {
 		return fmt.Errorf("%w: diner %d is %v", ErrMutateBusy, d.id, d.state)
 	}
-	if _, ok := d.colorOf[j]; !ok {
+	i := sort.SearchInts(d.neighbors, j)
+	if i == len(d.neighbors) || d.neighbors[i] != j {
 		return nil
 	}
-	for i, n := range d.neighbors {
-		if n == j {
-			d.neighbors = append(d.neighbors[:i], d.neighbors[i+1:]...)
-			break
-		}
-	}
-	delete(d.colorOf, j)
-	delete(d.pinged, j)
-	delete(d.ack, j)
-	delete(d.deferred, j)
-	delete(d.granted, j)
-	delete(d.fork, j)
-	delete(d.token, j)
+	d.neighbors = slices.Delete(d.neighbors, i, i+1)
+	d.edges = slices.Delete(d.edges, i, i+1)
 	return nil
 }
 
@@ -105,14 +99,14 @@ func (d *Diner) SetColor(c int) error {
 	if d.state != Thinking {
 		return fmt.Errorf("%w: diner %d is %v", ErrMutateBusy, d.id, d.state)
 	}
-	for _, j := range d.neighbors {
-		if d.colorOf[j] == c {
+	for i, j := range d.neighbors {
+		if d.edges[i].color == c {
 			return fmt.Errorf("%w: neighbors %d and %d share color %d", ErrBadConfig, d.id, j, c)
 		}
 	}
 	d.color = c
-	for _, j := range d.neighbors {
-		d.resetEdge(j)
+	for i := range d.edges {
+		d.edges[i].reset(c)
 	}
 	return nil
 }
@@ -127,28 +121,19 @@ func (d *Diner) SetNeighborColor(j, c int) error {
 	if d.state != Thinking {
 		return fmt.Errorf("%w: diner %d is %v", ErrMutateBusy, d.id, d.state)
 	}
-	if _, ok := d.colorOf[j]; !ok {
+	e := d.edgeTo(j)
+	if e == nil {
 		return fmt.Errorf("%w: %d is not a neighbor of %d", ErrBadConfig, j, d.id)
 	}
 	if c == d.color {
 		return fmt.Errorf("%w: neighbors %d and %d share color %d", ErrBadConfig, d.id, j, c)
 	}
-	d.colorOf[j] = c
-	d.resetEdge(j)
+	// Re-derive the edge from boot rules, as ResetNeighbor does but
+	// without the action refire: mutation entry points require
+	// Thinking, where no internal action is enabled.
+	e.color = c
+	e.reset(d.color)
 	return nil
-}
-
-// resetEdge restores edge j's protocol variables to their NewDiner
-// values for the current colors (the body of ResetNeighbor, without the
-// action refire — mutation entry points require Thinking, where no
-// internal action is enabled).
-func (d *Diner) resetEdge(j int) {
-	d.pinged[j] = false
-	d.ack[j] = false
-	d.deferred[j] = false
-	d.granted[j] = 0
-	d.fork[j] = d.color > d.colorOf[j]
-	d.token[j] = d.color < d.colorOf[j]
 }
 
 // AbortHungry recalls a hungry diner to Thinking without eating — the
@@ -167,31 +152,10 @@ func (d *Diner) AbortHungry() []Message {
 	}
 	d.inside = false
 	d.state = Thinking
-	var out []Message
-	for _, j := range d.neighbors {
-		if d.token[j] && d.fork[j] { // deferred fork request
-			out = append(out, Message{Kind: Fork, From: d.id, To: j})
-			d.fork[j] = false
-		}
+	d.out = d.releaseDeferred(d.out[:0])
+	for i := range d.edges {
+		d.edges[i].ack = false
+		d.edges[i].granted = 0
 	}
-	for _, j := range d.neighbors {
-		if d.deferred[j] { // deferred ping request
-			out = append(out, Message{Kind: Ack, From: d.id, To: j})
-			d.deferred[j] = false
-		}
-		d.ack[j] = false
-		d.granted[j] = 0
-	}
-	return out
-}
-
-func insertSortedID(s []int, v int) []int {
-	i := 0
-	for i < len(s) && s[i] < v {
-		i++
-	}
-	s = append(s, 0)
-	copy(s[i+1:], s[i:])
-	s[i] = v
-	return s
+	return d.out
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"slices"
 	"testing"
 )
 
@@ -10,6 +11,7 @@ import (
 // over the batch order.
 func deliverAll(t *testing.T, diners map[int]*Diner, msgs []Message) {
 	t.Helper()
+	msgs = slices.Clone(msgs) // a diner's result is borrowed
 	for len(msgs) > 0 {
 		m := msgs[0]
 		msgs = msgs[1:]
@@ -165,7 +167,8 @@ func TestAbortHungryFlushesDeferredFork(t *testing.T) {
 	// waiting for c's fork; b's request for a's fork is deferred because
 	// b's color is lower.
 	aOut := a.BecomeHungry() // pings b, c
-	bOut := b.BecomeHungry() // pings a
+	// b pings a; the result is kept across b.Deliver below, so copy it.
+	bOut := slices.Clone(b.BecomeHungry())
 	var aAck []Message
 	for _, m := range aOut {
 		aAck = append(aAck, diners[m.To].Deliver(m)...) // acks back to a

@@ -1,6 +1,9 @@
 package core
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 // Tests for the generalized AcksPerSession option: at most m acks per
 // neighbor per hungry session, giving eventual (m+1)-bounded waiting.
@@ -117,6 +120,7 @@ func TestGeneralizedBoundTwoDiners(t *testing.T) {
 		b := mk(1, 1, 0, 3, m)
 		diners := map[int]*Diner{0: a, 1: b}
 		pumpAll := func(queue []Message) {
+			queue = slices.Clone(queue) // a diner's result is borrowed
 			for steps := 0; len(queue) > 0; steps++ {
 				if steps > 100000 {
 					t.Fatal("pump diverged")

@@ -110,6 +110,13 @@ func (m Message) String() string {
 // dining algorithms so that one experiment runner can drive them all.
 // Every method returns the messages to transmit; implementations are
 // single-threaded state machines and the caller must serialize calls.
+//
+// The returned slice is borrowed, as with bufio.Scanner.Bytes: it is
+// valid only until the next call on the same process, which may
+// overwrite it. A caller that keeps messages across calls must copy
+// them (the Message values themselves are plain data). Diner reuses
+// one output buffer so that a steady-state dining step allocates
+// nothing. Hooks must not call back into the process.
 type Process interface {
 	// BecomeHungry transitions thinking → hungry (Action 1). It is a
 	// no-op when not thinking.

@@ -1,6 +1,9 @@
 package core
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 // Scenario tests reproducing the corner cases the paper's proofs argue
 // about explicitly.
@@ -26,7 +29,7 @@ func TestMutualSuspicionSimultaneousDoorwayEntry(t *testing.T) {
 	// Detector converges: suspicion is withdrawn. The messages sent
 	// during the mistake must not corrupt protocol state.
 	*aSusp, *bSusp = false, false
-	queue := append(outA, outB...)
+	queue := slices.Concat(outA, outB)
 	queue = append(queue, a.ExitEating()...)
 	queue = append(queue, b.ExitEating()...)
 	pump(t, a, b, queue)
@@ -67,7 +70,7 @@ func TestTheoremThreeBoundIsTight(t *testing.T) {
 	if len(out) != 1 || out[0].Kind != Ping {
 		t.Fatalf("setup: %v", out)
 	}
-	ackToN := v.Deliver(out[0]) // the "in-transit" ack
+	ackToN := slices.Clone(v.Deliver(out[0])) // the "in-transit" ack, kept across v's next call
 	if len(ackToN) != 1 || ackToN[0].Kind != Ack {
 		t.Fatalf("setup ack: %v", ackToN)
 	}
@@ -134,7 +137,7 @@ func TestDeferredAckArrivesAfterExit(t *testing.T) {
 	a, b, _, _ := pair(t, 3, 1)
 	// b hungry, pings a; a thinking: acks (no replied).
 	outB := b.BecomeHungry()
-	ack := a.Deliver(outB[0])
+	ack := slices.Clone(a.Deliver(outB[0])) // kept across a's next calls
 	// a becomes hungry, pings b; b is hungry outside, not replied:
 	// grants, setting replied.
 	outA := a.BecomeHungry()
@@ -180,7 +183,7 @@ func TestPingFromPreviousSessionAnswered(t *testing.T) {
 	// make b suspect nobody; b needs a's ack. a is thinking → acks.
 	outB := b.BecomeHungry()
 	ackToB := a.Deliver(outB[0])
-	bOut := b.Deliver(ackToB[0]) // b inside, requests the fork
+	bOut := slices.Clone(b.Deliver(ackToB[0])) // b inside, requests the fork
 	if !b.Inside() {
 		t.Fatal("setup: b should be inside the doorway")
 	}
@@ -199,7 +202,8 @@ func TestPingFromPreviousSessionAnswered(t *testing.T) {
 	if a.State() != Eating {
 		t.Fatalf("a should eat via suspicion, is %v", a.State())
 	}
-	exitOut := a.ExitEating()
+	// exitOut is kept across a.BecomeHungry, so copy it.
+	exitOut := slices.Clone(a.ExitEating())
 	*aSusp = false // detector converges
 	// Session 2: a must NOT re-ping (Lemma 2.2: one pending ping).
 	out2 := a.BecomeHungry()

@@ -176,6 +176,13 @@ type System struct {
 	stopOnce sync.Once
 	wg       sync.WaitGroup
 	started  bool
+
+	// crashWhen, when set before Start (tests only), is consulted on a
+	// process's own goroutine after each diner action has sent its
+	// messages; the process crashes at that instant if it returns true.
+	// It lets a test pick a crash point by protocol state, which Crash
+	// from another goroutine cannot.
+	crashWhen func(id int, d *core.Diner) bool
 }
 
 // proc is one process: a goroutine owning a diner and its detector
@@ -462,6 +469,14 @@ func (p *proc) run() {
 		tick = ticker.C
 	}
 	for {
+		// A crash takes effect before any further step: the select
+		// below picks at random among ready cases, so without this a
+		// crashed process could still handle a queued event.
+		select {
+		case <-p.dead:
+			return
+		default:
+		}
 		select {
 		case <-p.sys.stop:
 			return
@@ -525,6 +540,15 @@ func (p *proc) act(action func() []core.Message) {
 	before := p.diner.State()
 	msgs := action()
 	after := p.diner.State()
+	// Report the transition before sending: the fork an exit releases
+	// can let a neighbor eat, and the tracker would count a violation
+	// if the neighbor's eating report overtook this exit's.
+	if before != after {
+		if before == core.Thinking && after == core.Eating {
+			p.sys.tracker.transition(p.id, core.Hungry)
+		}
+		p.sys.tracker.transition(p.id, after)
+	}
 	for _, m := range msgs {
 		p.seqOut[m.To]++
 		f := liveFrame{seq: p.seqOut[m.To], msg: m}
@@ -555,13 +579,13 @@ func (p *proc) act(action func() []core.Message) {
 			p.sys.tracker.boundViolation()
 		}
 	}
+	if p.sys.crashWhen != nil && p.sys.crashWhen(p.id, p.diner) {
+		_ = p.sys.Crash(p.id) // cannot fail: p.id is in range
+		return
+	}
 	if before == after {
 		return
 	}
-	if before == core.Thinking && after == core.Eating {
-		p.sys.tracker.transition(p.id, core.Hungry)
-	}
-	p.sys.tracker.transition(p.id, after)
 	switch after {
 	case core.Eating:
 		if p.sys.cfg.OnEat != nil {

@@ -2,6 +2,7 @@ package live
 
 import (
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -95,10 +96,35 @@ func TestLiveChoySinghBlocksOnCrash(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Crash 0 only at an instant when, on both of its edges, it holds
+	// the token but not the fork: each neighbor then holds (or is being
+	// sent) the fork it shares with 0 and never needs it back, so it
+	// stalls only *outside* the doorway, waiting for 0's ack. Crashing
+	// at an arbitrary instant can instead leave a neighbor inside the
+	// doorway waiting for a fork 0 took down with it; that neighbor then
+	// defers every ping from 2 and starves 2 as well.
+	var armed atomic.Bool
+	crashed := make(chan struct{})
+	s.crashWhen = func(id int, d *core.Diner) bool {
+		if id != 0 || !armed.Load() {
+			return false
+		}
+		for _, j := range []int{1, 3} {
+			if d.HoldsFork(j) || !d.HoldsToken(j) {
+				return false
+			}
+		}
+		close(crashed)
+		return true
+	}
 	s.Start()
 	time.Sleep(100 * time.Millisecond)
-	if err := s.Crash(0); err != nil {
-		t.Fatal(err)
+	armed.Store(true)
+	select {
+	case <-crashed:
+	case <-time.After(10 * time.Second):
+		s.Stop()
+		t.Fatal("process 0 never reached a crash point with both forks given away")
 	}
 	time.Sleep(500 * time.Millisecond)
 	before := s.Tracker().EatCounts()

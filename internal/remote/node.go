@@ -37,6 +37,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -248,17 +249,18 @@ func NewNode(cfg Config) (*Node, error) {
 	}
 	for _, pid := range topo.Nodes[n.self].Procs {
 		p := &rproc{
-			node:      n,
-			id:        pid,
-			inbox:     make(chan procEvent, cfg.ProcInboxCap),
-			park:      vclock.NewParker(cfg.Clock),
-			dead:      make(chan struct{}),
-			nbrs:      topo.G.Neighbors(pid),
-			lastHeard: make(map[int]time.Time),
-			timeout:   make(map[int]time.Duration),
-			suspected: make(map[int]bool),
-			stalled:   make(map[int]bool),
+			node:  n,
+			id:    pid,
+			inbox: make(chan procEvent, cfg.ProcInboxCap),
+			park:  vclock.NewParker(cfg.Clock),
+			dead:  make(chan struct{}),
+			nbrs:  topo.G.Neighbors(pid),
 		}
+		deg := len(p.nbrs)
+		p.lastHeard = make([]time.Time, deg)
+		p.timeout = make([]time.Duration, deg)
+		p.suspected = make([]bool, deg)
+		p.stalled = make([]bool, deg)
 		nbrColors := make(map[int]int, len(p.nbrs))
 		for _, j := range p.nbrs {
 			nbrColors[j] = colors[j]
@@ -271,8 +273,11 @@ func NewNode(cfg Config) (*Node, error) {
 			// suspected one: the diner stops waiting on it, preserving
 			// wait-freedom among non-stalled neighbors while the
 			// transport drains the backlog.
-			Suspects: func(j int) bool { return p.suspected[j] || p.stalled[j] },
-			Options:  cfg.Options,
+			Suspects: func(j int) bool {
+				i := p.nbrIndex(j)
+				return i >= 0 && (p.suspected[i] || p.stalled[i])
+			},
+			Options: cfg.Options,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("remote: process %d: %w", pid, err)
@@ -315,9 +320,9 @@ func (n *Node) Start() error {
 	}
 	now := n.clk.Now()
 	for _, p := range n.procs {
-		for _, j := range p.nbrs {
-			p.lastHeard[j] = now
-			p.timeout[j] = n.cfg.InitialTimeout
+		for i := range p.nbrs {
+			p.lastHeard[i] = now
+			p.timeout[i] = n.cfg.InitialTimeout
 		}
 		n.wg.Add(1)
 		p.park.Begin()
@@ -495,16 +500,16 @@ type rproc struct {
 	park  *vclock.Parker // run's share of the clock's running count
 	dead  chan struct{}
 	once  sync.Once
-	nbrs  []int
+	nbrs  []int // sorted
 
-	// Failure-detector state, owned by the run goroutine (enforced by
-	// the mailboxown analyzer).
-	lastHeard map[int]time.Time     // owned: run
-	timeout   map[int]time.Duration // owned: run
-	suspected map[int]bool          // owned: run
+	// Failure-detector state, indexed like nbrs and owned by the run
+	// goroutine (enforced by the mailboxown analyzer).
+	lastHeard []time.Time     // owned: run
+	timeout   []time.Duration // owned: run
+	suspected []bool          // owned: run
 	// stalled marks neighbors whose outbound stream is backpressure-
 	// parked; the diner's Suspects view ORs it with suspicion.
-	stalled map[int]bool // owned: run
+	stalled []bool // owned: run
 
 	// lastEvent is the clk nanos of the last run-loop iteration, read
 	// by the node watchdog to spot a wedged process.
@@ -610,17 +615,27 @@ func (p *rproc) heartbeatRound() {
 	}
 	now := p.node.clk.Now()
 	changed := false
-	for _, j := range p.nbrs {
-		if !p.suspected[j] && now.Sub(p.lastHeard[j]) > p.timeout[j] {
-			p.suspected[j] = true
+	for i, j := range p.nbrs {
+		if !p.suspected[i] && now.Sub(p.lastHeard[i]) > p.timeout[i] {
+			p.suspected[i] = true
 			p.setParked(j, true)
 			changed = true
 		}
 	}
 	if changed {
-		p.node.tr.setSuspects(p.id, p.suspected)
+		p.node.tr.setSuspects(p.id, p.nbrs, p.suspected)
 		p.act(func() []core.Message { return p.diner.ReevaluateSuspicion() })
 	}
+}
+
+// nbrIndex returns the index of neighbor j in nbrs (and in the
+// detector slices), or -1 if j is not a neighbor.
+func (p *rproc) nbrIndex(j int) int {
+	i := sort.SearchInts(p.nbrs, j)
+	if i < len(p.nbrs) && p.nbrs[i] == j {
+		return i
+	}
+	return -1
 }
 
 // setParked parks or resumes ARQ retransmission toward neighbor j,
@@ -639,14 +654,18 @@ func (p *rproc) setParked(j int, parked bool) {
 func (p *rproc) handle(ev procEvent) {
 	switch ev.kind {
 	case evHeartbeat:
-		p.lastHeard[ev.from] = p.node.clk.Now()
-		if p.suspected[ev.from] {
+		i := p.nbrIndex(ev.from)
+		if i < 0 {
+			return
+		}
+		p.lastHeard[i] = p.node.clk.Now()
+		if p.suspected[i] {
 			// False suspicion: widen the timeout (the adaptive part of
 			// ◇P₁), resume retransmission, re-run the guards.
-			p.suspected[ev.from] = false
-			p.timeout[ev.from] += p.node.cfg.TimeoutIncrement
+			p.suspected[i] = false
+			p.timeout[i] += p.node.cfg.TimeoutIncrement
 			p.setParked(ev.from, false)
-			p.node.tr.setSuspects(p.id, p.suspected)
+			p.node.tr.setSuspects(p.id, p.nbrs, p.suspected)
 			p.act(func() []core.Message { return p.diner.ReevaluateSuspicion() })
 		}
 	case evMessage:
@@ -664,10 +683,11 @@ func (p *rproc) handle(ev procEvent) {
 	case evNeighborReset:
 		p.act(func() []core.Message { return p.diner.ResetNeighbor(ev.from) })
 	case evStall:
-		if p.stalled[ev.from] == ev.stalled {
+		i := p.nbrIndex(ev.from)
+		if i < 0 || p.stalled[i] == ev.stalled {
 			return
 		}
-		p.stalled[ev.from] = ev.stalled
+		p.stalled[i] = ev.stalled
 		// The diner re-reads its Suspects view: a stalled neighbor is
 		// dropped from (or restored to) the processes it waits on,
 		// exactly as suspicion transitions do.

@@ -7,23 +7,29 @@ import (
 	"net/http/pprof"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/graph"
-	"repro/internal/metrics"
-	"repro/internal/sim"
 )
 
-// tracker is the node's mutex-protected observation point: process
-// goroutines and peer managers report into it, and the /status
-// endpoint reads from it. It never influences the run. Channel
-// occupancy reuses the metrics.OccupancyMonitor high-water machinery,
-// fed from the transport's application-level send/deliver events (each
-// directed stream is measured at its sender; a remote message counts
-// as in transit from submission until the cumulative ack covers it).
+// tracker is the node's observation point: process goroutines and
+// peer managers report into it, and the /status endpoint reads from
+// it. It never influences the run. Everything but channel occupancy is
+// guarded by mu.
+//
+// Occupancy is fed from the transport's application-level send/deliver
+// events on every dining message (each directed stream is measured at
+// its sender; a remote message counts as in transit from submission
+// until the cumulative ack covers it), so it stays off mu: one atomic
+// in-transit counter per graph edge, in a map built once from the
+// static topology and only read afterwards, and one node-wide atomic
+// high-water.
 type tracker struct {
+	inTransit map[[2]int]*atomic.Int32 // by edgeKey; never written after newTracker
+	occHigh   atomic.Int32             // max in-transit count any edge reached
+
 	mu    sync.Mutex
-	occ   *metrics.OccupancyMonitor
 	procs map[int]*procStats
 	peers map[int]*peerStats
 	errs  []error
@@ -66,11 +72,23 @@ type pairStats struct {
 }
 
 func newTracker(g *graph.Graph) *tracker {
-	return &tracker{
-		occ:   metrics.NewOccupancyMonitor(g.N()),
-		procs: make(map[int]*procStats),
-		peers: make(map[int]*peerStats),
+	t := &tracker{
+		inTransit: make(map[[2]int]*atomic.Int32, g.M()),
+		procs:     make(map[int]*procStats),
+		peers:     make(map[int]*peerStats),
 	}
+	for _, e := range g.Edges() {
+		t.inTransit[edgeKey(e[0], e[1])] = new(atomic.Int32)
+	}
+	return t
+}
+
+// edgeKey names the undirected edge {a, b}.
+func edgeKey(a, b int) [2]int {
+	if a > b {
+		a, b = b, a
+	}
+	return [2]int{a, b}
 }
 
 func (t *tracker) addProc(id int) {
@@ -100,14 +118,15 @@ func (t *tracker) transition(id int, to core.State, eats, sessions int) {
 	ps.sessions = sessions
 }
 
-func (t *tracker) setSuspects(id int, suspected map[int]bool) {
+// setSuspects records the neighbors of id, sorted, whose suspected
+// flag (aligned with nbrs) is set.
+func (t *tracker) setSuspects(id int, nbrs []int, suspected []bool) {
 	out := make([]int, 0, len(suspected))
-	for j, v := range suspected {
+	for i, v := range suspected {
 		if v {
-			out = append(out, j)
+			out = append(out, nbrs[i])
 		}
 	}
-	sort.Ints(out)
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.procs[id].suspects = out
@@ -134,16 +153,21 @@ func (t *tracker) firstErr() error {
 	return t.errs[0]
 }
 
+// appSend counts a dining message into transit on edge {from, to} and
+// raises the node-wide high-water if the edge just set a new one.
 func (t *tracker) appSend(from, to int) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.occ.OnSend(sim.Time(0), from, to, nil)
+	v := t.inTransit[edgeKey(from, to)].Add(1)
+	for {
+		hw := t.occHigh.Load()
+		if v <= hw || t.occHigh.CompareAndSwap(hw, v) {
+			return
+		}
+	}
 }
 
+// appDeliver counts a dining message out of transit on edge {from, to}.
 func (t *tracker) appDeliver(from, to int) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.occ.OnDeliver(sim.Time(0), from, to, nil)
+	t.inTransit[edgeKey(from, to)].Add(-1)
 }
 
 func (t *tracker) peerConnected(node int, up bool) {
@@ -301,7 +325,7 @@ func (n *Node) Status() Status {
 	t := n.tr
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	st := Status{Node: n.self, Addr: n.Addr(), MaxEdgeOccupancy: t.occ.MaxHighWater(), SendWindow: n.cfg.SendWindow}
+	st := Status{Node: n.self, Addr: n.Addr(), MaxEdgeOccupancy: int(t.occHigh.Load()), SendWindow: n.cfg.SendWindow}
 	ids := make([]int, 0, len(t.procs))
 	for id := range t.procs {
 		ids = append(ids, id)
@@ -369,9 +393,7 @@ func (n *Node) EatCounts() map[int]int {
 // MaxEdgeOccupancy returns this node's per-edge application-message
 // high-water mark.
 func (n *Node) MaxEdgeOccupancy() int {
-	n.tr.mu.Lock()
-	defer n.tr.mu.Unlock()
-	return n.tr.occ.MaxHighWater()
+	return int(n.tr.occHigh.Load())
 }
 
 // MaxPairDepth returns the highest ARQ ring depth any ordered pair on
